@@ -4,7 +4,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: all build vet staticcheck test race bench bench-baseline bench-ensemble bench-kernel check report fuzz faultinject resume shard-gate serve-gate examples clean
+.PHONY: all build vet staticcheck test race bench bench-baseline bench-ensemble bench-kernel check perfbench-check report fuzz faultinject resume shard-gate serve-gate examples clean
 
 all: build vet test
 
@@ -20,14 +20,15 @@ all: build vet test
 # (runs routed through LookupBatch/UpdateBatch — including the EV8 model
 # via the batched block contract — must be byte-identical to the scalar
 # fused path, with an EV8 block-boundary fuzz smoke), a snapshot-decode
-# fuzz smoke, and benchmark smokes so neither
-# the testing.B harness nor the per-predictor microbenchmarks can rot.
+# fuzz smoke, benchmark smokes so neither the testing.B harness nor the
+# per-predictor microbenchmarks can rot, and the benchmark module's own
+# vet and tests (perfbench-check).
 check:
 	$(GO) vet ./...
 	$(MAKE) staticcheck
 	$(GO) build ./...
 	$(GO) test -race ./...
-	$(GO) test -run 'TestHotPathZeroAllocs|TestDelayedUpdateZeroAllocsSteadyState|TestEnsembleZeroAllocsSteadyState|TestBatchZeroAllocsSteadyState|TestBatchKernelZeroAllocs|TestEV8BatchZeroAllocsSteadyState' -count=1 .
+	$(GO) test -run 'TestHotPathZeroAllocs|TestDelayedUpdateZeroAllocsSteadyState|TestEnsembleZeroAllocsSteadyState|TestBatchZeroAllocsSteadyState|TestBatchKernelZeroAllocs|TestEV8BatchZeroAllocsSteadyState|TestGeneratorNextBatchZeroAllocs' -count=1 .
 	$(GO) test -run 'TestEnsemble' -count=1 . ./internal/sim/
 	$(GO) test -run 'TestBatch|TestEV8Batch|TestEV8Ensemble|TestStagedIndex|TestLookupBatch' -count=1 . ./internal/core/ ./internal/ev8/ ./internal/predictor/... ./internal/trace/
 	$(GO) test -fuzz FuzzEV8BatchBlockBoundaries -fuzztime 30s -run '^$$' .
@@ -41,6 +42,14 @@ check:
 	$(GO) test -fuzz FuzzSnapshotDecode -fuzztime 30s -run '^$$' .
 	$(GO) test -bench=Table1 -benchtime=1x -run '^$$' .
 	$(GO) test -bench=PredictUpdate -benchtime=100x -run '^$$' .
+	$(MAKE) perfbench-check
+
+# The repository benchmark (perfbench/) is its own Go module, so the root
+# `go build ./...` never compiles it. Vet it and run its short tests, so a
+# change to an internal signature it calls fails here rather than in the
+# benchmark run.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short -count=1 ./...
 
 build:
 	$(GO) build ./...

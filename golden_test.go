@@ -1,11 +1,13 @@
 package ev8pred_test
 
 // Golden determinism tests: the library promises bit-identical
-// regeneration from fixed seeds. These tests pin exact misprediction
-// counts for a few configurations; any change to the workload generator,
-// history machinery, index functions or update policy that alters results
-// MUST show up here (and, if intended, the goldens updated consciously —
-// they are behavior checksums, not correctness claims).
+// regeneration from fixed seeds. These tests pin exact branch,
+// misprediction and instruction counts for a few configurations; any
+// change to the workload generator, history machinery, index functions or
+// update policy that alters results MUST show up here (and, if intended,
+// the goldens updated consciously — they are behavior checksums, not
+// correctness claims). The per-record generator stream is pinned
+// separately by TestGeneratorStreamFingerprints in internal/workload.
 
 import (
 	"testing"
@@ -19,13 +21,18 @@ func TestGoldenRunsAreDeterministic(t *testing.T) {
 		mode  ev8pred.Mode
 		build func() (ev8pred.Predictor, error)
 		bench string
+		// Pinned at 300k instructions: branches, mispredicts, instructions.
+		branches, mispredicts, instructions int64
 	}{
 		{"ev8-li", ev8pred.ModeEV8(),
-			func() (ev8pred.Predictor, error) { return ev8pred.NewEV8(), nil }, "li"},
+			func() (ev8pred.Predictor, error) { return ev8pred.NewEV8(), nil }, "li",
+			42079, 3239, 300006},
 		{"2bcg512-gcc", ev8pred.ModeGhist(),
-			func() (ev8pred.Predictor, error) { return ev8pred.New2BcGskew(ev8pred.Config512K()) }, "gcc"},
+			func() (ev8pred.Predictor, error) { return ev8pred.New2BcGskew(ev8pred.Config512K()) }, "gcc",
+			38841, 4345, 300001},
 		{"gshare-perl", ev8pred.ModeGhist(),
-			func() (ev8pred.Predictor, error) { return ev8pred.NewGshare(64*1024, 16) }, "perl"},
+			func() (ev8pred.Predictor, error) { return ev8pred.NewGshare(64*1024, 16) }, "perl",
+			22086, 1524, 300023},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -48,8 +55,9 @@ func TestGoldenRunsAreDeterministic(t *testing.T) {
 			if a.Mispredicts != b.Mispredicts || a.Branches != b.Branches || a.Instructions != b.Instructions {
 				t.Fatalf("non-deterministic: %+v vs %+v", a, b)
 			}
-			if a.Branches == 0 || a.Mispredicts == 0 {
-				t.Fatalf("degenerate run: %+v", a)
+			if a.Branches != c.branches || a.Mispredicts != c.mispredicts || a.Instructions != c.instructions {
+				t.Fatalf("golden moved: branches/mispredicts/instructions = %d/%d/%d, pinned %d/%d/%d",
+					a.Branches, a.Mispredicts, a.Instructions, c.branches, c.mispredicts, c.instructions)
 			}
 		})
 	}

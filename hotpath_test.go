@@ -13,6 +13,7 @@ import (
 	"ev8pred/internal/hotbench"
 	"ev8pred/internal/predictor"
 	"ev8pred/internal/trace"
+	"ev8pred/internal/workload"
 )
 
 const hotEvents = 4096
@@ -138,6 +139,60 @@ func TestBatchKernelZeroAllocs(t *testing.T) {
 					c.Name, allocs, run.Len())
 			}
 		})
+	}
+}
+
+// drainGenerator resets g and reads its whole stream through NextBatch,
+// returning the record count.
+func drainGenerator(g *workload.Generator, buf []trace.Branch) int {
+	g.Reset()
+	total := 0
+	for {
+		n, err := g.NextBatch(buf)
+		total += n
+		if err != nil {
+			return total
+		}
+	}
+}
+
+// TestGeneratorNextBatchZeroAllocs gates the workload generator, the
+// first layer of every batch run: once a warm pass has grown the
+// interpreter's frame stack to its high-water mark, Reset plus a full
+// drain through NextBatch must not allocate, for every built-in profile.
+func TestGeneratorNextBatchZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is not meaningful under the race detector")
+	}
+	buf := make([]trace.Branch, 1024)
+	for _, prof := range workload.Benchmarks() {
+		g := workload.MustNew(prof, 200_000)
+		if drainGenerator(g, buf) == 0 {
+			t.Fatalf("%s: empty stream", prof.Name)
+		}
+		if allocs := testing.AllocsPerRun(3, func() {
+			drainGenerator(g, buf)
+		}); allocs != 0 {
+			t.Errorf("%s: %.1f allocs per Reset and drain, want 0", prof.Name, allocs)
+		}
+	}
+}
+
+// BenchmarkGeneratorNextBatch measures the workload generator alone:
+// Reset plus a full drain of every built-in profile through NextBatch in
+// 1024-record chunks, as sim.Run pulls them. ns/op is per record.
+func BenchmarkGeneratorNextBatch(b *testing.B) {
+	var gens []*workload.Generator
+	for _, prof := range workload.Benchmarks() {
+		gens = append(gens, workload.MustNew(prof, 1_000_000))
+	}
+	buf := make([]trace.Branch, 1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; {
+		for _, g := range gens {
+			done += drainGenerator(g, buf)
+		}
 	}
 }
 

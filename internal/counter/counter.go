@@ -37,6 +37,7 @@ const (
 type Array struct {
 	words   []uint64
 	entries uint64
+	mask    uint64 // see indexMask
 	initVal uint8
 }
 
@@ -50,7 +51,7 @@ func NewArray(n int, init uint8) *Array {
 	if n <= 0 {
 		panic(fmt.Sprintf("counter: NewArray with n=%d", n))
 	}
-	a := &Array{words: make([]uint64, (n+31)/32), entries: uint64(n), initVal: init & 3}
+	a := &Array{words: make([]uint64, (n+31)/32), entries: uint64(n), mask: indexMask(uint64(n)), initVal: init & 3}
 	if init != 0 {
 		a.Fill(init)
 	}
@@ -75,13 +76,13 @@ func (a *Array) Reset() { a.Fill(a.initVal) }
 
 // Get returns counter i (0..3).
 func (a *Array) Get(i uint64) uint8 {
-	i &= a.mask()
+	i &= a.mask
 	return uint8(a.words[i>>5]>>((i&31)*2)) & 3
 }
 
 // Set stores v (0..3) into counter i.
 func (a *Array) Set(i uint64, v uint8) {
-	i &= a.mask()
+	i &= a.mask
 	sh := (i & 31) * 2
 	a.words[i>>5] = a.words[i>>5]&^(3<<sh) | uint64(v&3)<<sh
 }
@@ -94,7 +95,7 @@ func (a *Array) Taken(i uint64) bool { return a.Get(i) >= 2 }
 // batch kernels combine these bits with bit-parallel majority/arbitration
 // logic instead of per-branch if ladders.
 func (a *Array) TakenBit(i uint64) uint64 {
-	i &= a.mask()
+	i &= a.mask
 	return a.words[i>>5] >> ((i&31)*2 + 1) & 1
 }
 
@@ -127,7 +128,7 @@ func (a *Array) Update(i uint64, taken bool) {
 // re-locating it. The scalar Update path and the batch kernels share
 // this as their only Array write path.
 func (a *Array) UpdateN(i uint64, taken bool) (old, next uint8) {
-	i &= a.mask()
+	i &= a.mask
 	w := i >> 5
 	sh := (i & 31) * 2
 	word := a.words[w]
@@ -160,12 +161,14 @@ func (a *Array) LoadWords(ws []uint64) error {
 	return nil
 }
 
-// mask returns the index mask when entries is a power of two, otherwise it
-// performs a bounds check by panicking via slice access later. All predictor
-// tables in this library are powers of two; mask keeps Get/Set branch-free.
-func (a *Array) mask() uint64 {
-	if bitutil.IsPow2(a.entries) {
-		return a.entries - 1
+// indexMask returns the index mask for a table of n entries: n-1 when n
+// is a power of two, otherwise all ones, leaving out-of-range indices to
+// panic on the slice access. All predictor tables in this library are
+// powers of two; the mask keeps Get/Set branch-free. The constructors
+// compute it once, so the hot accessors pay one AND per access.
+func indexMask(n uint64) uint64 {
+	if bitutil.IsPow2(n) {
+		return n - 1
 	}
 	return ^uint64(0)
 }
@@ -174,6 +177,7 @@ func (a *Array) mask() uint64 {
 type BitArray struct {
 	words   []uint64
 	entries uint64
+	mask    uint64 // see indexMask
 }
 
 // NewBitArray returns a BitArray of n zero bits.
@@ -181,7 +185,7 @@ func NewBitArray(n int) *BitArray {
 	if n <= 0 {
 		panic(fmt.Sprintf("counter: NewBitArray with n=%d", n))
 	}
-	return &BitArray{words: make([]uint64, (n+63)/64), entries: uint64(n)}
+	return &BitArray{words: make([]uint64, (n+63)/64), entries: uint64(n), mask: indexMask(uint64(n))}
 }
 
 // Len returns the number of bits.
@@ -189,20 +193,20 @@ func (b *BitArray) Len() int { return int(b.entries) }
 
 // Get returns bit i.
 func (b *BitArray) Get(i uint64) bool {
-	i &= b.mask()
+	i &= b.mask
 	return b.words[i>>6]>>(i&63)&1 == 1
 }
 
 // Bit returns bit i as a 0/1 word, for bit-parallel combines that want
 // to stay out of bool-land.
 func (b *BitArray) Bit(i uint64) uint64 {
-	i &= b.mask()
+	i &= b.mask
 	return b.words[i>>6] >> (i & 63) & 1
 }
 
 // Set stores v into bit i.
 func (b *BitArray) Set(i uint64, v bool) {
-	i &= b.mask()
+	i &= b.mask
 	if v {
 		b.words[i>>6] |= 1 << (i & 63)
 	} else {
@@ -228,13 +232,6 @@ func (b *BitArray) LoadWords(ws []uint64) error {
 	}
 	copy(b.words, ws)
 	return nil
-}
-
-func (b *BitArray) mask() uint64 {
-	if bitutil.IsPow2(b.entries) {
-		return b.entries - 1
-	}
-	return ^uint64(0)
 }
 
 // Split is a 2-bit counter bank stored as separate prediction and hysteresis

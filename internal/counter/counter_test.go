@@ -157,6 +157,45 @@ func TestBitArrayBasics(t *testing.T) {
 	}
 }
 
+// TestBitArrayNonPow2Index: a non-power-of-two bit array keeps the
+// all-ones index mask — indices past Len inside the last backing word are
+// not folded onto lower entries, and indices past the backing words panic
+// instead of wrapping.
+func TestBitArrayNonPow2Index(t *testing.T) {
+	b := NewBitArray(100)
+	b.Set(100, true) // in range of the second word; entries-1 would fold it to 96
+	if !b.Get(100) || b.Bit(100) != 1 {
+		t.Error("bit 100 not set")
+	}
+	if b.Get(96) || b.Get(36) {
+		t.Error("index folded onto a lower entry")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("index past the backing words did not panic")
+		}
+	}()
+	b.Get(128)
+}
+
+// TestArrayNonPow2Index is TestBitArrayNonPow2Index for 2-bit counters.
+func TestArrayNonPow2Index(t *testing.T) {
+	a := NewArray(100, 0)
+	a.Set(100, 3) // entries-1 would fold it to 96
+	if a.Get(100) != 3 || a.TakenBit(100) != 1 {
+		t.Error("counter 100 not set")
+	}
+	if a.Get(96) != 0 || a.Get(36) != 0 {
+		t.Error("index folded onto a lower entry")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("index past the backing words did not panic")
+		}
+	}()
+	a.Get(128)
+}
+
 func TestBitArrayPanicsOnZero(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -203,17 +203,29 @@ func (t *Tracker) Reset() {
 // Process advances the front end over one record. For conditional records
 // it returns the information vector the predictor would have been handed
 // (valid at prediction time, i.e. computed before the branch's own outcome
-// affects any state) and true.
+// affects any state) and true; otherwise a zero Info and false. It is a
+// value-passing wrapper over ProcessInto.
 func (t *Tracker) Process(b trace.Branch) (history.Info, bool) {
+	var info history.Info
+	isCond := t.ProcessInto(&b, &info)
+	return info, isCond
+}
+
+// ProcessInto is the tracker's walk: it advances the front end over *b
+// and, for a conditional record, writes the branch's information vector
+// into *info and returns true. For any other record it returns false and
+// leaves *info untouched. Batch loops pass their chunk slots directly, so
+// neither the record nor the vector is copied through the call.
+func (t *Tracker) ProcessInto(b *trace.Branch, info *history.Info) bool {
+	start := b.PC - uint64(b.Gap)*trace.InstrBytes
 	if !t.started {
-		start := b.PC - uint64(b.Gap)*trace.InstrBytes
 		t.flowPC = start
 		t.blockStart = start
 		t.started = true
 	}
 	// Flow invariant: the record's gap instructions start exactly at the
 	// current flow point.
-	if start := b.PC - uint64(b.Gap)*trace.InstrBytes; start != t.flowPC {
+	if start != t.flowPC {
 		if !t.lenient {
 			panic(fmt.Sprintf("frontend: record PC %#x (gap %d) does not continue flow %#x (inconsistent trace)",
 				b.PC, b.Gap, t.flowPC))
@@ -226,16 +238,13 @@ func (t *Tracker) Process(b trace.Branch) (history.Info, bool) {
 	}
 	t.advance(b.PC)
 
-	var info history.Info
 	isCond := b.Kind == trace.Cond
 	if isCond {
-		info = history.Info{
-			PC:      b.PC,
-			BlockPC: t.blockStart,
-			Hist:    t.selectHist(),
-			Path:    t.path.Snapshot(),
-			Thread:  t.threadTag,
-		}
+		info.PC = b.PC
+		info.BlockPC = t.blockStart
+		info.Hist = t.selectHist()
+		info.Path = t.path.Snapshot()
+		info.Thread = t.threadTag
 		t.condSeen++
 		// Retire the branch into the per-branch global history and the
 		// in-progress block state.
@@ -256,7 +265,7 @@ func (t *Tracker) Process(b trace.Branch) (history.Info, bool) {
 		}
 		t.flowPC = next
 	}
-	return info, isCond
+	return isCond
 }
 
 // selectHist materializes the mode's history variant.

@@ -34,7 +34,7 @@ func Mix64(x uint64) uint64 {
 }
 
 // PCG32 is a PCG-XSH-RR 64/32 pseudo-random generator (O'Neill, 2014).
-// The zero value is NOT ready for use; construct with New.
+// The zero value is NOT ready for use; construct with New or Seed.
 type PCG32 struct {
 	state uint64
 	inc   uint64 // stream selector; always odd
@@ -43,12 +43,20 @@ type PCG32 struct {
 // New returns a PCG32 seeded from seed on stream stream. Distinct streams
 // yield statistically independent sequences even for equal seeds.
 func New(seed, stream uint64) *PCG32 {
-	p := &PCG32{inc: (stream << 1) | 1}
+	p := &PCG32{}
+	p.Seed(seed, stream)
+	return p
+}
+
+// Seed reinitializes p in place to the state New(seed, stream) returns,
+// for generators that embed a PCG32 by value and reseed it on reset
+// without allocating.
+func (p *PCG32) Seed(seed, stream uint64) {
+	p.inc = (stream << 1) | 1
 	p.state = 0
 	p.Uint32()
 	p.state += seed
 	p.Uint32()
-	return p
 }
 
 // Uint32 returns the next 32 random bits.

@@ -43,6 +43,19 @@ func TestPCG32Deterministic(t *testing.T) {
 	}
 }
 
+func TestPCG32SeedMatchesNew(t *testing.T) {
+	var p PCG32
+	p.Seed(3, 9)
+	p.Uint64() // reseeding a used generator restarts its sequence
+	p.Seed(7, 11)
+	q := New(7, 11)
+	for i := 0; i < 100; i++ {
+		if a, b := p.Uint32(), q.Uint32(); a != b {
+			t.Fatalf("output %d: Seed %#x, New %#x", i, a, b)
+		}
+	}
+}
+
 func TestPCG32StreamsIndependent(t *testing.T) {
 	a := New(12345, 1)
 	b := New(12345, 2)

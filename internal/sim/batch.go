@@ -225,7 +225,7 @@ func runBatchStream(bp predictor.BatchPredictor, bs trace.BatchSource, opts Opti
 					return err
 				}
 			}
-			info, isCond := tr.Process(*b)
+			isCond := tr.ProcessInto(b, &s.infos[m])
 			if branches >= opts.Warmup {
 				res.Instructions += int64(b.Gap) + 1
 			}
@@ -233,7 +233,7 @@ func runBatchStream(bp predictor.BatchPredictor, bs trace.BatchSource, opts Opti
 				continue
 			}
 			if banked {
-				s.banks[m] = bbo.StageBank(info.BlockPC)
+				s.banks[m] = bbo.StageBank(s.infos[m].BlockPC)
 			}
 			lane := uint(m) & 63
 			if lane == 0 {
@@ -242,7 +242,6 @@ func runBatchStream(bp predictor.BatchPredictor, bs trace.BatchSource, opts Opti
 			if b.Taken {
 				s.taken[m>>6] |= 1 << lane
 			}
-			s.infos[m] = info
 			m++
 			branches++
 		}
@@ -336,7 +335,7 @@ func runEnsembleBatchStream(members []member, src trace.Source, bs trace.BatchSo
 					return nil, err
 				}
 			}
-			info, isCond := tr.Process(*b)
+			isCond := tr.ProcessInto(b, &s.infos[m])
 			if bcount >= opts.Warmup {
 				*instructions += int64(b.Gap) + 1
 			}
@@ -344,7 +343,7 @@ func runEnsembleBatchStream(members []member, src trace.Source, bs trace.BatchSo
 				continue
 			}
 			for _, k := range staged {
-				banks[k][m] = bbos[k].StageBank(info.BlockPC)
+				banks[k][m] = bbos[k].StageBank(s.infos[m].BlockPC)
 			}
 			lane := uint(m) & 63
 			if lane == 0 {
@@ -353,7 +352,6 @@ func runEnsembleBatchStream(members []member, src trace.Source, bs trace.BatchSo
 			if b.Taken {
 				s.taken[m>>6] |= 1 << lane
 			}
-			s.infos[m] = info
 			m++
 			bcount++
 		}

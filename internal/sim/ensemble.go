@@ -263,7 +263,7 @@ func runEnsemble(factories []Factory, src trace.Source, opts Options, ck *Checkp
 				if opts.MaxBranches > 0 && branches >= opts.MaxBranches {
 					break stream
 				}
-				b := buf[bi]
+				b := &buf[bi]
 				tr := trackers.lookup(b.Thread)
 				if tr == nil {
 					var err error
@@ -272,7 +272,7 @@ func runEnsemble(factories []Factory, src trace.Source, opts Options, ck *Checkp
 						return results, err
 					}
 				}
-				info, isCond = tr.Process(b)
+				isCond = tr.ProcessInto(b, &info)
 				// The warmup gate is identical to Run's: a record is
 				// measured iff at least Warmup conditional branches retired
 				// before it, and the same boundary gates numerator and

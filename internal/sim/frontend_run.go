@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ev8pred/internal/frontend"
+	"ev8pred/internal/history"
 	"ev8pred/internal/predictor"
 	"ev8pred/internal/trace"
 	"ev8pred/internal/workload"
@@ -77,6 +78,9 @@ func RunFrontEnd(p predictor.Predictor, src trace.Source, opts Options, fecfg Fr
 		tr.OnBlock(lp.Observe)
 	}
 
+	// info is hoisted out of the loop so its address, passed through
+	// interface calls, does not escape once per branch (as in Run).
+	var info history.Info
 	for {
 		if opts.MaxBranches > 0 && res.Branches >= opts.MaxBranches {
 			break
@@ -85,7 +89,7 @@ func RunFrontEnd(p predictor.Predictor, src trace.Source, opts Options, fecfg Fr
 		if !ok {
 			break
 		}
-		info, isCond := tr.Process(b)
+		isCond := tr.ProcessInto(&b, &info)
 		res.Instructions += int64(b.Gap) + 1
 		if isCond {
 			pred := b.Taken // oracle

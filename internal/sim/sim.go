@@ -346,7 +346,7 @@ func run(p predictor.Predictor, src trace.Source, opts Options, resume *Checkpoi
 				return res, nil, err
 			}
 		}
-		info, isCond = tr.Process(b)
+		isCond = tr.ProcessInto(&b, &info)
 		// One gate decides the whole record: it is measured iff the
 		// warmup boundary (retirement of conditional branch #Warmup)
 		// lies before it. For a conditional record this is the same

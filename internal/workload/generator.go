@@ -20,12 +20,12 @@ type Generator struct {
 	// execution state (reset by Reset). Switch-case selection draws from
 	// its own stream so dispatch density does not perturb the calibrated
 	// site-model draws.
-	r          *rng.PCG32
-	rswitch    *rng.PCG32
+	r          rng.PCG32
+	rswitch    rng.PCG32
 	ghist      history.Register
 	stack      []frame
 	seqPos     int
-	patPos     []int
+	patPos     []uint8 // per-site pattern cursor (local sites)
 	instr      int64
 	lastNextPC uint64
 	done       bool
@@ -41,17 +41,18 @@ const (
 	frameSwitchCase
 )
 
+// frame is one activation on the interpreter stack: a cursor over a body
+// plus the record the frame emits when its body is exhausted.
 type frame struct {
-	kind   frameKind
-	stmts  []stmt
-	pos    int
-	remain int    // frameLoop: body executions remaining after this one
-	loop   *stmt  // frameLoop: the owning loop statement
-	fn     int    // frameFunc: function index
-	retPC  uint64 // frameFunc: dynamic return target
-	// frameSwitchCase: the case body's trailing jump.
-	jumpPC     uint64
-	jumpTarget uint64
+	// pc and target are the exit record's addresses: the function's
+	// return instruction and its dynamic return target (frameFunc), the
+	// loop's back edge and body start (frameLoop), or the case body's
+	// trailing jump and the join (frameSwitchCase).
+	pc, target uint64
+	remain     int   // frameLoop: body executions remaining after this one
+	pos, end   int32 // next statement and end of the body in program.stmts
+	start      int32 // frameLoop: body start, where the next iteration restarts
+	kind       frameKind
 }
 
 // New builds the program for prof and returns a generator that emits
@@ -86,19 +87,18 @@ func (g *Generator) Profile() Profile { return g.prof }
 func (g *Generator) StaticSites() int { return g.prog.numSites }
 
 // Reset restarts execution from the beginning; the emitted stream is
-// bit-identical to the previous run.
+// bit-identical to the previous run. It allocates nothing after the
+// first run.
 func (g *Generator) Reset() {
-	g.r = rng.New(g.prof.Seed, streamExec)
-	g.rswitch = rng.New(g.prof.Seed, streamExec+1)
+	g.r.Seed(g.prof.Seed, streamExec)
+	g.rswitch.Seed(g.prof.Seed, streamExec+1)
 	g.ghist.Reset()
 	g.stack = g.stack[:0]
 	g.seqPos = 0
 	if g.patPos == nil {
-		g.patPos = make([]int, g.prog.numSites)
+		g.patPos = make([]uint8, g.prog.numSites)
 	}
-	for i := range g.patPos {
-		g.patPos[i] = 0
-	}
+	clear(g.patPos)
 	g.instr = 0
 	g.lastNextPC = g.prog.driverStart
 	g.done = false
@@ -106,14 +106,11 @@ func (g *Generator) Reset() {
 
 // Next implements trace.Source.
 func (g *Generator) Next() (trace.Branch, bool) {
+	var b trace.Branch
 	if g.done {
-		return trace.Branch{}, false
+		return b, false
 	}
-	b := g.step()
-	g.instr += int64(b.Gap) + 1
-	if g.budget > 0 && g.instr >= g.budget {
-		g.done = true
-	}
+	g.step(&b)
 	return b, true
 }
 
@@ -130,118 +127,125 @@ func (g *Generator) NextBatch(dst []trace.Branch) (int, error) {
 		if g.done {
 			return i, nil
 		}
-		b := g.step()
-		g.instr += int64(b.Gap) + 1
-		if g.budget > 0 && g.instr >= g.budget {
-			g.done = true
-		}
-		dst[i] = b
+		g.step(&dst[i])
 	}
 	return len(dst), nil
 }
 
-// emit finalizes a record at pc: the gap is the real address distance from
-// the previous control transfer's successor, which is what makes the
-// front-end flow reconstruction exact.
-func (g *Generator) emit(pc, target uint64, taken bool, kind trace.Kind) trace.Branch {
+// emit writes the record at pc into dst and charges its instructions to
+// the budget: the gap is the real address distance from the previous
+// control transfer's successor, which is what makes the front-end flow
+// reconstruction exact.
+func (g *Generator) emit(dst *trace.Branch, pc, target uint64, taken bool, kind trace.Kind) {
 	if pc < g.lastNextPC {
 		panic(fmt.Sprintf("workload: layout regression: pc %#x < flow %#x", pc, g.lastNextPC))
 	}
-	b := trace.Branch{
-		PC:     pc,
-		Target: target,
-		Taken:  taken,
-		Gap:    int((pc - g.lastNextPC) / trace.InstrBytes),
-		Kind:   kind,
+	gap := int((pc - g.lastNextPC) / trace.InstrBytes)
+	*dst = trace.Branch{PC: pc, Target: target, Taken: taken, Gap: gap, Kind: kind}
+	if taken {
+		g.lastNextPC = target
+	} else {
+		g.lastNextPC = pc + trace.InstrBytes
 	}
-	g.lastNextPC = b.NextPC()
-	return b
+	g.instr += int64(gap) + 1
+	if g.budget > 0 && g.instr >= g.budget {
+		g.done = true
+	}
 }
 
-// step advances the interpreter until exactly one record is produced.
-func (g *Generator) step() trace.Branch {
+// step advances the interpreter until exactly one record is produced,
+// writing it into dst.
+func (g *Generator) step(dst *trace.Branch) {
+	p := g.prog
 	for {
 		if len(g.stack) == 0 {
 			// Driver loop.
 			slot := g.seqPos
 			g.seqPos++
-			if slot == len(g.prog.callSeq) {
+			if slot == len(p.calls) {
 				// Wrap: unconditional jump back to the driver start.
 				g.seqPos = 0
-				return g.emit(g.prog.jumpPC, g.prog.driverStart, true, trace.Jump)
+				g.emit(dst, p.jumpPC, p.driverStart, true, trace.Jump)
+				return
 			}
-			fn := g.prog.callSeq[slot]
-			callPC := g.prog.callPCs[slot]
-			f := &g.prog.funcs[fn]
+			c := p.calls[slot]
+			fn := &p.funcs[c.fn]
 			g.stack = append(g.stack, frame{
-				kind:  frameFunc,
-				stmts: f.body,
-				fn:    fn,
-				retPC: callPC + trace.InstrBytes,
+				kind:   frameFunc,
+				pos:    fn.body.lo,
+				end:    fn.body.hi,
+				pc:     fn.retPC,
+				target: c.pc + trace.InstrBytes,
 			})
-			return g.emit(callPC, f.entry, true, trace.Call)
+			g.emit(dst, c.pc, fn.entry, true, trace.Call)
+			return
 		}
 
 		f := &g.stack[len(g.stack)-1]
-		if f.pos >= len(f.stmts) {
+		if f.pos >= f.end {
+			pc, target := f.pc, f.target
 			switch f.kind {
 			case frameLoop:
-				s := f.loop
 				if f.remain > 0 {
 					f.remain--
-					f.pos = 0
+					f.pos = f.start
 					g.ghist.Shift(true)
-					return g.emit(s.branchPC, s.target, true, trace.Cond)
+					g.emit(dst, pc, target, true, trace.Cond)
+					return
 				}
 				g.stack = g.stack[:len(g.stack)-1]
 				g.ghist.Shift(false)
-				return g.emit(s.branchPC, s.target, false, trace.Cond)
+				g.emit(dst, pc, target, false, trace.Cond)
 			case frameFunc:
-				fn := &g.prog.funcs[f.fn]
-				ret := f.retPC
 				g.stack = g.stack[:len(g.stack)-1]
-				return g.emit(fn.retPC, ret, true, trace.Return)
+				g.emit(dst, pc, target, true, trace.Return)
 			case frameSwitchCase:
-				pc, tgt := f.jumpPC, f.jumpTarget
 				g.stack = g.stack[:len(g.stack)-1]
-				return g.emit(pc, tgt, true, trace.Jump)
+				g.emit(dst, pc, target, true, trace.Jump)
 			default: // frameIfBody
 				g.stack = g.stack[:len(g.stack)-1]
 				continue
 			}
+			return
 		}
 
-		s := &f.stmts[f.pos]
+		s := &p.stmts[f.pos]
 		f.pos++
 		switch s.kind {
 		case stmtLoop:
-			trip := s.trip.draw(g.r)
+			trip := p.trips[s.aux].draw(&g.r)
 			g.stack = append(g.stack, frame{
 				kind:   frameLoop,
-				stmts:  s.body,
-				loop:   s,
+				pos:    s.body.lo,
+				start:  s.body.lo,
+				end:    s.body.hi,
 				remain: trip - 1,
+				pc:     s.branchPC,
+				target: s.target,
 			})
 			// No record yet; the body runs, then the back edge emits.
 		case stmtIf:
-			taken := s.model.eval(g.r, g.ghist.Value(), &g.patPos[s.siteID])
+			taken := s.model.eval(&g.r, g.ghist.Value(), &g.patPos[s.aux])
 			g.ghist.Shift(taken)
-			if !taken && len(s.body) > 0 {
-				g.stack = append(g.stack, frame{kind: frameIfBody, stmts: s.body})
+			if !taken && s.body.lo < s.body.hi {
+				g.stack = append(g.stack, frame{kind: frameIfBody, pos: s.body.lo, end: s.body.hi})
 			}
-			return g.emit(s.branchPC, s.target, taken, trace.Cond)
+			g.emit(dst, s.branchPC, s.target, taken, trace.Cond)
+			return
 		case stmtSwitch:
 			// Skewed dispatch: a hot case plus a uniform tail.
+			sw := &p.switches[s.aux]
 			c := 0
-			if !g.rswitch.Bool(s.caseBias) && len(s.caseAddrs) > 1 {
-				c = 1 + g.rswitch.Intn(len(s.caseAddrs)-1)
+			if !g.rswitch.Bool(sw.caseBias) && len(sw.caseAddrs) > 1 {
+				c = 1 + g.rswitch.Intn(len(sw.caseAddrs)-1)
 			}
 			g.stack = append(g.stack, frame{
-				kind:       frameSwitchCase,
-				jumpPC:     s.caseJumpPCs[c],
-				jumpTarget: s.join,
+				kind:   frameSwitchCase,
+				pc:     sw.caseJumpPCs[c],
+				target: sw.join,
 			})
-			return g.emit(s.branchPC, s.caseAddrs[c], true, trace.Jump)
+			g.emit(dst, s.branchPC, sw.caseAddrs[c], true, trace.Jump)
+			return
 		}
 	}
 }

@@ -3,6 +3,7 @@ package workload
 import (
 	"io"
 	"testing"
+	"unsafe"
 
 	"ev8pred/internal/trace"
 )
@@ -56,5 +57,21 @@ func TestGeneratorNextBatchMatchesNext(t *testing.T) {
 	n, err := g2.NextBatch(buf[:4])
 	if err != nil || n != 4 || buf[0] != want[1] {
 		t.Fatalf("NextBatch after Next = (%d, %v), buf[0] = %+v", n, err, buf[0])
+	}
+}
+
+// TestHotNodeLayout pins the interpreter's hot structures to their
+// cache-line budget: a statement (with its packed outcome model inline)
+// fits in 64 bytes, and a stack frame stays small. Growing either puts a
+// second cache line on every if-site the generator steps through.
+func TestHotNodeLayout(t *testing.T) {
+	if n := unsafe.Sizeof(stmt{}); n > 64 {
+		t.Errorf("stmt is %d bytes, budget 64", n)
+	}
+	if n := unsafe.Sizeof(siteModel{}); n > 16 {
+		t.Errorf("siteModel is %d bytes, budget 16", n)
+	}
+	if n := unsafe.Sizeof(frame{}); n > 40 {
+		t.Errorf("frame is %d bytes, budget 40", n)
 	}
 }

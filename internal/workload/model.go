@@ -49,40 +49,50 @@ const (
 	modelRandom
 )
 
-// siteModel is the outcome model attached to one conditional if-site.
+// siteModel is the outcome model attached to one conditional if-site. It
+// is packed into 16 bytes so that it sits inside its statement's cache
+// line (see stmt).
 type siteModel struct {
-	kind    modelKind
-	p       float64 // bias / random probability of taken
-	tap     int     // corr: global-history distance (>= 1)
-	invert  bool    // corr: invert the repeated outcome
-	noise   float64 // corr/local: probability the modeled outcome is flipped
-	pattern uint64  // local: repeating pattern bits
-	patLen  int     // local: pattern length in bits
+	// p is the probability of taken for bias and random sites, and the
+	// probability that the modeled outcome is flipped (noise) for corr
+	// and local sites.
+	p    float64
+	kind modelKind
+	// invert (corr) inverts the repeated outcome.
+	invert bool
+	// shift (corr) is the global-history bit the site repeats: its tap
+	// distance minus one, clamped to 64 — a tap beyond the 64-bit
+	// register reads 0 either way.
+	shift uint8
+	// pattern and patLen (local) are the repeating pattern bits and the
+	// pattern length (2..8 bits).
+	pattern uint8
+	patLen  uint8
 }
 
 // eval computes the site's next outcome. ghist is the true global outcome
 // history (bit 0 = most recent); patPos is the site's mutable pattern
 // cursor (owned by the Generator so that Reset restores determinism).
-func (m *siteModel) eval(r *rng.PCG32, ghist uint64, patPos *int) bool {
+func (m *siteModel) eval(r *rng.PCG32, ghist uint64, patPos *uint8) bool {
 	switch m.kind {
 	case modelBias, modelRandom:
 		return r.Bool(m.p)
 	case modelCorr:
-		v := (ghist>>uint(m.tap-1))&1 == 1
+		v := (ghist>>m.shift)&1 == 1
 		if m.invert {
 			v = !v
 		}
-		if m.noise > 0 && r.Bool(m.noise) {
+		if m.p > 0 && r.Bool(m.p) {
 			v = !v
 		}
 		return v
 	case modelLocal:
-		bit := (m.pattern>>uint(*patPos))&1 == 1
+		bit := (m.pattern>>*patPos)&1 == 1
 		*patPos++
 		if *patPos >= m.patLen {
 			*patPos = 0
 		}
-		if m.noise > 0 && r.Bool(m.noise) {
+		if m.p > 0 && r.Bool(m.p) {
 			bit = !bit
 		}
 		return bit

@@ -14,21 +14,39 @@ const (
 	stmtSwitch                 // indirect jump dispatching to one of several cases
 )
 
+// span is a body: the half-open range [lo, hi) of program.stmts. Every
+// body is contiguous, because genBody appends a body's statements in one
+// go after laying out the bodies nested in it.
+type span struct{ lo, hi int32 }
+
 // stmt is one statement of a function body. Straight-line code is implicit
 // in the address layout: gaps between control points are real address
 // distances, so the generator never needs explicit "basic block" records.
+//
+// stmt is the interpreter's hot node. At 48 bytes it never spans more
+// than two cache lines and most statements sit inside one: everything an
+// if-site needs (addresses, packed outcome model, nested body range, site
+// ID) is inline, while the loop-trip and switch fields, read once per
+// loop activation or dispatch, live in side tables. Bodies are ranges of
+// one program-wide slice, so a function's statements are contiguous and
+// gcc's whole program is about 0.6 MB of statements.
 type stmt struct {
-	kind     stmtKind
-	branchPC uint64 // address of the branch/jump instruction
-	target   uint64 // taken target (if: skip address; loop: body start)
-	body     []stmt
-	model    siteModel // if-sites
-	trip     tripModel // loop-sites
-	siteID   int       // dense index for per-site mutable state
+	branchPC uint64    // address of the branch/jump instruction
+	target   uint64    // taken target (if: skip address; loop: body start)
+	model    siteModel // stmtIf
+	body     span      // stmtIf: then-body; stmtLoop: loop body
+	// aux is the if-site's ID (its pattern cursor in Generator.patPos),
+	// the loop's index in program.trips or the switch's index in
+	// program.switches.
+	aux  int32
+	kind stmtKind
+}
 
-	// stmtSwitch: caseAddrs are the case-body entry points, caseJumpPCs
-	// the per-case trailing jumps, join the common continuation, and
-	// caseBias the probability of the hot case (case 0).
+// switchSite is the side-table entry of a stmtSwitch: caseAddrs are the
+// case-body entry points, caseJumpPCs the per-case trailing jumps, join
+// the common continuation, and caseBias the probability of the hot case
+// (case 0).
+type switchSite struct {
 	caseAddrs   []uint64
 	caseJumpPCs []uint64
 	join        uint64
@@ -39,20 +57,29 @@ type stmt struct {
 // instruction that ends it.
 type function struct {
 	entry uint64
-	body  []stmt
 	retPC uint64
+	body  span
+}
+
+// call is one slot of the driver loop's repeating call sequence: the call
+// instruction and the function it calls.
+type call struct {
+	pc uint64
+	fn int32
 }
 
 // program is the immutable static structure shared by generator resets.
 type program struct {
-	funcs []function
+	stmts    []stmt // every body of every function, flattened
+	trips    []tripModel
+	switches []switchSite
+	funcs    []function
 
-	// Driver loop layout: callPCs[i] is the call instruction for the
-	// i-th slot of the repeating call sequence callSeq; after the last
-	// slot an unconditional jump at jumpPC returns to driverStart.
+	// Driver loop layout: calls is the repeating call sequence laid out
+	// from driverStart; after the last slot an unconditional jump at
+	// jumpPC returns to driverStart.
 	driverStart uint64
-	callPCs     []uint64
-	callSeq     []int
+	calls       []call
 	jumpPC      uint64
 
 	numSites int
@@ -72,6 +99,7 @@ type builder struct {
 	rs     *rng.PCG32 // switch-structure stream
 	cursor uint64
 	sites  int // sites allocated so far (site IDs)
+	prog   *program
 }
 
 // streamSwitch is the rng stream for switch-dispatch structure.
@@ -86,13 +114,14 @@ func buildProgram(prof Profile) *program {
 		cursor: 0x10000,
 	}
 	p := &program{driverStart: b.cursor}
+	b.prog = p
 
 	// Driver region: CallSeqLen call sites separated by straight code,
 	// then a jump back to the start.
-	p.callPCs = make([]uint64, prof.CallSeqLen)
-	for i := range p.callPCs {
+	p.calls = make([]call, prof.CallSeqLen)
+	for i := range p.calls {
 		b.straight()
-		p.callPCs[i] = b.emitInstr()
+		p.calls[i].pc = b.emitInstr()
 	}
 	b.straight()
 	p.jumpPC = b.emitInstr()
@@ -125,9 +154,8 @@ func buildProgram(prof Profile) *program {
 	// The repeating call sequence: Zipf-like weights make a few
 	// functions hot while the tail is cold, which is what creates the
 	// warm/cold predictor-footprint mix of real programs.
-	p.callSeq = make([]int, prof.CallSeqLen)
-	for i := range p.callSeq {
-		p.callSeq[i] = b.zipf(nf)
+	for i := range p.calls {
+		p.calls[i].fn = int32(b.zipf(nf))
 	}
 
 	p.numSites = b.sites
@@ -167,8 +195,9 @@ func (b *builder) emitInstr() uint64 {
 }
 
 // genBody lays out a function/region body containing exactly budget
-// conditional-branch sites.
-func (b *builder) genBody(budget, depth int) []stmt {
+// conditional-branch sites, appends it to the program's statements after
+// the bodies nested in it, and returns its range.
+func (b *builder) genBody(budget, depth int) span {
 	var out []stmt
 	switches := 0
 	for budget > 0 {
@@ -194,13 +223,14 @@ func (b *builder) genBody(budget, depth int) []stmt {
 			body := b.genBody(sub, depth+1)
 			b.straight()
 			pc := b.emitInstr()
+			b.prog.trips = append(b.prog.trips, b.newTrip())
+			b.newSite() // the back edge is a site (StaticSites) with no pattern cursor
 			out = append(out, stmt{
 				kind:     stmtLoop,
 				branchPC: pc,
 				target:   bodyStart,
 				body:     body,
-				trip:     b.newTrip(),
-				siteID:   b.newSite(),
+				aux:      int32(len(b.prog.trips) - 1),
 			})
 			budget -= sub + 1
 			continue
@@ -220,11 +250,13 @@ func (b *builder) genBody(budget, depth int) []stmt {
 			target:   b.cursor, // skip to just past the then-body
 			body:     body,
 			model:    b.newModel(),
-			siteID:   b.newSite(),
+			aux:      int32(b.newSite()),
 		})
 		budget -= sub + 1
 	}
-	return out
+	lo := len(b.prog.stmts)
+	b.prog.stmts = append(b.prog.stmts, out...)
+	return span{int32(lo), int32(len(b.prog.stmts))}
 }
 
 // genSwitch lays out an indirect-jump dispatch: a jump instruction
@@ -233,8 +265,8 @@ func (b *builder) genBody(budget, depth int) []stmt {
 // (one hot case), which is what makes a last-target jump predictor useful
 // but imperfect — interpreter-style behavior.
 func (b *builder) genSwitch() stmt {
-	s := stmt{kind: stmtSwitch, caseBias: 0.5 + b.rs.Float64()*0.45}
-	s.branchPC = b.emitInstr()
+	sw := switchSite{caseBias: 0.5 + b.rs.Float64()*0.45}
+	s := stmt{kind: stmtSwitch, branchPC: b.emitInstr()}
 	n := 2 + b.rs.Intn(5)
 	jumpPCs := make([]uint64, 0, n)
 	addrs := make([]uint64, 0, n)
@@ -243,9 +275,11 @@ func (b *builder) genSwitch() stmt {
 		b.gapAddr(1 + b.rs.Intn(8))
 		jumpPCs = append(jumpPCs, b.emitInstr())
 	}
-	s.caseAddrs = addrs
-	s.caseJumpPCs = jumpPCs
-	s.join = b.cursor
+	sw.caseAddrs = addrs
+	sw.caseJumpPCs = jumpPCs
+	sw.join = b.cursor
+	b.prog.switches = append(b.prog.switches, sw)
+	s.aux = int32(len(b.prog.switches) - 1)
 	return s
 }
 
@@ -291,20 +325,24 @@ func (b *builder) newModel() siteModel {
 		if shortHi := lo + 9; b.r.Bool(0.7) && shortHi < hi {
 			hi = shortHi
 		}
+		shift := lo + b.r.Intn(hi-lo+1) - 1
+		if shift > 64 {
+			shift = 64
+		}
 		return siteModel{
 			kind:   modelCorr,
-			tap:    lo + b.r.Intn(hi-lo+1),
+			shift:  uint8(shift),
 			invert: b.r.Bool(0.5),
-			noise:  p.NoiseCorr,
+			p:      p.NoiseCorr,
 		}
 	case u < p.FracCorr+p.FracLocal:
 		patLen := 2 + b.r.Intn(7)
 		pattern := b.r.Uint64() & ((1 << uint(patLen)) - 1)
 		return siteModel{
 			kind:    modelLocal,
-			pattern: pattern,
-			patLen:  patLen,
-			noise:   p.NoiseLocal,
+			pattern: uint8(pattern),
+			patLen:  uint8(patLen),
+			p:       p.NoiseLocal,
 		}
 	case u < p.FracCorr+p.FracLocal+p.FracRandom:
 		pr := p.RandomLo + b.r.Float64()*(p.RandomHi-p.RandomLo)
