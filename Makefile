@@ -4,7 +4,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: all build vet staticcheck test race bench bench-baseline bench-ensemble bench-kernel check perfbench-check report fuzz faultinject resume shard-gate serve-gate examples clean
+.PHONY: all build vet staticcheck test race bench bench-baseline bench-ensemble bench-kernel check golden perfbench-check report fuzz faultinject resume shard-gate serve-gate examples clean
 
 all: build vet test
 
@@ -29,6 +29,7 @@ check:
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -run 'TestHotPathZeroAllocs|TestDelayedUpdateZeroAllocsSteadyState|TestEnsembleZeroAllocsSteadyState|TestBatchZeroAllocsSteadyState|TestBatchKernelZeroAllocs|TestEV8BatchZeroAllocsSteadyState|TestGeneratorNextBatchZeroAllocs' -count=1 .
+	$(GO) test -run 'TestGolden' -count=1 .
 	$(GO) test -run 'TestEnsemble' -count=1 . ./internal/sim/
 	$(GO) test -run 'TestBatch|TestEV8Batch|TestEV8Ensemble|TestStagedIndex|TestLookupBatch' -count=1 . ./internal/core/ ./internal/ev8/ ./internal/predictor/... ./internal/trace/
 	$(GO) test -fuzz FuzzEV8BatchBlockBoundaries -fuzztime 30s -run '^$$' .
@@ -43,6 +44,12 @@ check:
 	$(GO) test -bench=Table1 -benchtime=1x -run '^$$' .
 	$(GO) test -bench=PredictUpdate -benchtime=100x -run '^$$' .
 	$(MAKE) perfbench-check
+
+# Rewrite the golden corpus (testdata/golden/runs.json) from this build.
+# A plain `go test` only reads it; regenerate only for an intended change
+# of results, and review and record the diff.
+golden:
+	$(GO) test -run 'TestGoldenCorpus' -count=1 . -golden.update
 
 # The repository benchmark (perfbench/) is its own Go module, so the root
 # `go build ./...` never compiles it. Vet it and run its short tests, so a

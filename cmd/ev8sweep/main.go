@@ -11,6 +11,8 @@
 //	ev8sweep -scheme 2bcg -param size -values 13,14,15,16 (log2 entries/bank)
 //	ev8sweep -scheme perceptron -param history -values 8,16,24,32
 //
+// A size value is log2 entries and must lie in [1, 24].
+//
 // Flags -benchmarks and -instructions scope the run; -mode selects the
 // information vector. Every (value × benchmark) cell runs in parallel
 // across the CPUs (-j 1 forces the serial path); the table is
@@ -131,6 +133,9 @@ func run(args []string, out io.Writer) error {
 	// keys, identical results (docs/SERVING.md).
 	factory, err := sweep.FamilyFactory(*scheme, *param)
 	if err != nil {
+		return err
+	}
+	if err := sweep.CheckValues(*scheme, *param, xs); err != nil {
 		return err
 	}
 

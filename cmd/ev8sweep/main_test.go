@@ -57,6 +57,14 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-benchmarks", "nonesuch", "-values", "4"}, &sb); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
+	for _, scheme := range []string{"gshare", "2bcg"} {
+		for _, v := range []string{"40", "0"} {
+			err := run([]string{"-scheme", scheme, "-param", "size", "-values", v, "-benchmarks", "li"}, &sb)
+			if err == nil || !strings.Contains(err.Error(), "outside [1, 24]") {
+				t.Errorf("%s size %s: err = %v, want the roster bound", scheme, v, err)
+			}
+		}
+	}
 }
 
 // TestRunFlagValidation pins the malformed-flag audit for the sweep CLI:

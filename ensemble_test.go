@@ -187,7 +187,7 @@ func TestEnsembleStatsMatch(t *testing.T) {
 }
 
 // nextOnly hides a source's NextBatch (and Err) so the ensemble loop is
-// forced onto the record-at-a-time leg of fillBatch.
+// forced onto trace.ReadBatch's record-at-a-time leg.
 type nextOnly struct{ src ev8pred.Source }
 
 func (n *nextOnly) Next() (ev8pred.Branch, bool) { return n.src.Next() }

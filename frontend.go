@@ -32,8 +32,10 @@ var (
 
 // RunFrontEnd simulates the full PC-address generator over src. A nil
 // predictor selects a perfect (oracle) conditional predictor, for
-// upper-bound studies. A non-nil error means the source failed
-// mid-stream (e.g. a corrupted trace file).
+// upper-bound studies. It honours Options.Mode, MaxBranches and
+// LenientFlow; Warmup, UpdateDelay, Collect, BatchOn and a record from a
+// second thread are errors. A non-nil error otherwise means the source
+// failed mid-stream (e.g. a corrupted trace file).
 func RunFrontEnd(p Predictor, src Source, opts Options, fecfg FrontEndConfig) (FrontEndResult, error) {
 	return sim.RunFrontEnd(p, src, opts, fecfg)
 }

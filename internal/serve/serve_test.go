@@ -51,6 +51,7 @@ func TestSpecCompileErrors(t *testing.T) {
 		{"bad ensemble", func(s *Spec) { s.Ensemble = "nonesuch" }, "ensemble"},
 		{"bad benchmark", func(s *Spec) { s.Benchmarks = []string{"nonesuch"} }, "benchmarks"},
 		{"too many cells", func(s *Spec) { s.Values = []int{1, 2, 3, 4, 5} }, "values/benchmarks"},
+		{"size out of bounds", func(s *Spec) { s.Param, s.Values = "size", []int{40} }, "values"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -300,6 +301,13 @@ func TestSubmitRejections(t *testing.T) {
 	resp = post(`{"scheme":"nonesuch","param":"history","values":[4],"instructions":1000}`)
 	if api := decodeErr(resp); api.Code != "bad_spec" || resp.StatusCode != 400 {
 		t.Errorf("bad scheme: status %d code %q", resp.StatusCode, api.Code)
+	}
+
+	// A size beyond the roster's bound is refused at admission, before a
+	// cell could ask for a 2^40-entry table.
+	resp = post(`{"scheme":"gshare","param":"size","values":[40],"instructions":1000}`)
+	if api := decodeErr(resp); api.Code != "bad_spec" || resp.StatusCode != 400 {
+		t.Errorf("oversized size family: status %d code %q", resp.StatusCode, api.Code)
 	}
 
 	// Draining: typed 503.

@@ -82,6 +82,9 @@ func (sp *Spec) compile(workers, maxCells int) (*compiledSpec, error) {
 	if err != nil {
 		return nil, &SpecError{Field: "scheme/param", Reason: err.Error()}
 	}
+	if err := sweep.CheckValues(sp.Scheme, sp.Param, sp.Values); err != nil {
+		return nil, &SpecError{Field: "values", Reason: err.Error()}
+	}
 	modeName := sp.Mode
 	if modeName == "" {
 		modeName = "ghist"

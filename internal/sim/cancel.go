@@ -31,10 +31,10 @@ import (
 // errors.Is(err, sim.ErrCanceled).
 var ErrCanceled = errors.New("sim: run canceled")
 
-// cancelStride is how many records the scalar loop advances between
-// context polls. A poll is one channel select; at 4096 records the
-// amortized cost is unmeasurable, and a cancel lands within ~4096
-// branches — microseconds of extra work.
+// cancelStride is how many Next calls pass between context polls. A
+// poll is one channel select; at 4096 records the amortized cost is
+// unmeasurable, and a cancel lands within ~4096 branches — microseconds
+// of extra work.
 const cancelStride = 4096
 
 // cancelSource is the plain trace.Source view of a cancelable stream.

@@ -89,34 +89,34 @@ func (t *trackerTable) each(fn func(id int, tr *frontend.Tracker)) {
 	}
 }
 
-// capture builds a Checkpoint from the run loop's state. It must run
+// capture builds a Checkpoint of a single-member stream. It must run
 // BEFORE the commit-delay ring drains and before the warmup clamp: the
 // pending updates belong to the continuation, not to this run's final
 // accounting.
-func capture(p predictor.Predictor, opts Options, trackers *trackerTable,
-	ring []pendingUpdate, head, count int, records int64, res Result) (*Checkpoint, error) {
-	snapper, ok := p.(predictor.Snapshotter)
+func (e *engine) capture() (*Checkpoint, error) {
+	m := &e.members[0]
+	snapper, ok := m.p.(predictor.Snapshotter)
 	if !ok {
-		return nil, fmt.Errorf("%w (%s)", ErrNotSnapshottable, p.Name())
+		return nil, fmt.Errorf("%w (%s)", ErrNotSnapshottable, m.p.Name())
 	}
 	ck := &Checkpoint{
-		Predictor:      p.Name(),
-		Mode:           opts.Mode,
-		UpdateDelay:    opts.UpdateDelay,
-		LenientFlow:    opts.LenientFlow,
-		Warmup:         opts.Warmup,
-		Records:        records,
-		RawBranches:    res.Branches,
-		Mispredicts:    res.Mispredicts,
-		Instructions:   res.Instructions,
+		Predictor:      m.p.Name(),
+		Mode:           e.opts.Mode,
+		UpdateDelay:    e.opts.UpdateDelay,
+		LenientFlow:    e.opts.LenientFlow,
+		Warmup:         e.opts.Warmup,
+		Records:        e.records,
+		RawBranches:    e.branches,
+		Mispredicts:    m.mispredicts,
+		Instructions:   e.instructions,
 		PredictorState: snapper.SnapshotState(),
 	}
-	trackers.each(func(id int, tr *frontend.Tracker) {
+	e.trackers.each(func(id int, tr *frontend.Tracker) {
 		ck.Trackers = append(ck.Trackers, TrackerCheckpoint{Thread: id, State: tr.SnapshotState()})
 	})
-	ck.Pending = make([]PendingCheckpoint, 0, count)
-	for i := 0; i < count; i++ {
-		u := &ring[(head+i)%len(ring)]
+	ck.Pending = make([]PendingCheckpoint, 0, m.count)
+	for i := 0; i < m.count; i++ {
+		u := &m.ring[(m.head+i)%len(m.ring)]
 		ck.Pending = append(ck.Pending, PendingCheckpoint{Info: u.info, Snap: u.snap, Taken: u.taken})
 	}
 	return ck, nil
@@ -149,17 +149,28 @@ func (ck *Checkpoint) validateResume(p predictor.Predictor, opts Options) error 
 	return nil
 }
 
-// restoreInto applies the checkpoint's predictor and tracker state. The
-// predictor restore happens before the caller enables attribution, so a
-// checkpointed collection window survives the round trip (EnableStats(true)
-// on an already-collecting predictor is a no-op by the stats contract).
-func (ck *Checkpoint) restoreInto(p predictor.Predictor, opts Options,
-	trackers *trackerTable, onBlock func(frontend.Block)) error {
-	if err := p.(predictor.Snapshotter).RestoreState(ck.PredictorState); err != nil {
-		return fmt.Errorf("sim: restoring predictor state: %w", err)
+// seed restores a checkpoint into a freshly built engine, for ResumeFrom
+// (one member) and RunEnsembleFrom (every member from the same state):
+// each member's predictor state, pending updates and mispredict count,
+// the shared front-end trackers once, and the stream counters.
+func (e *engine) seed(ck *Checkpoint) error {
+	for i := range e.members {
+		m := &e.members[i]
+		if err := ck.validateResume(m.p, e.opts); err != nil {
+			return fmt.Errorf("sim: member %d: %w", i, err)
+		}
+		if err := m.p.(predictor.Snapshotter).RestoreState(ck.PredictorState); err != nil {
+			return fmt.Errorf("sim: member %d: restoring predictor state: %w", i, err)
+		}
+		for k := range ck.Pending {
+			pu := &ck.Pending[k]
+			m.ring[k] = pendingUpdate{info: pu.Info, snap: pu.Snap, taken: pu.Taken}
+		}
+		m.count = len(ck.Pending)
+		m.mispredicts = ck.Mispredicts
 	}
 	for _, ts := range ck.Trackers {
-		tr, err := trackers.create(ts.Thread, opts, onBlock)
+		tr, err := e.trackers.create(ts.Thread, e.opts, e.onBlock)
 		if err != nil {
 			return err
 		}
@@ -167,6 +178,9 @@ func (ck *Checkpoint) restoreInto(p predictor.Predictor, opts Options,
 			return fmt.Errorf("sim: restoring tracker for thread %d: %w", ts.Thread, err)
 		}
 	}
+	e.records = ck.Records
+	e.branches = ck.RawBranches
+	e.instructions = ck.Instructions
 	return nil
 }
 
@@ -195,7 +209,7 @@ func SkipRecords(src trace.Source, n int64) error {
 // checkpoint with the error. The predictor must implement
 // predictor.Snapshotter (ErrNotSnapshottable otherwise).
 func RunCheckpoint(p predictor.Predictor, src trace.Source, opts Options) (Result, *Checkpoint, error) {
-	return run(p, src, opts, nil, true)
+	return runOne(p, src, opts, nil, true)
 }
 
 // ResumeFrom continues a checkpointed run: src must be positioned exactly
@@ -208,7 +222,7 @@ func RunCheckpoint(p predictor.Predictor, src trace.Source, opts Options) (Resul
 // raw conditional branches from the stream start, so extending a stopped
 // run means raising it.
 func ResumeFrom(p predictor.Predictor, src trace.Source, opts Options, ck *Checkpoint) (Result, error) {
-	res, _, err := run(p, src, opts, ck, false)
+	res, _, err := runOne(p, src, opts, ck, false)
 	return res, err
 }
 

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"ev8pred/internal/core"
+	"ev8pred/internal/ev8"
 	"ev8pred/internal/frontend"
 	"ev8pred/internal/history"
 	"ev8pred/internal/predictor"
@@ -272,5 +274,78 @@ func TestParseEnsembleMode(t *testing.T) {
 	}
 	if s := EnsembleMode(9).String(); !strings.Contains(s, "9") {
 		t.Errorf("unknown mode String() = %q", s)
+	}
+}
+
+// countingSource counts the records a run pulls from a batch source.
+type countingSource struct {
+	*trace.Slice
+	n int64
+}
+
+func (c *countingSource) Next() (trace.Branch, bool) {
+	b, ok := c.Slice.Next()
+	if ok {
+		c.n++
+	}
+	return b, ok
+}
+
+func (c *countingSource) NextBatch(dst []trace.Branch) (int, error) {
+	n, err := c.Slice.NextBatch(dst)
+	c.n += int64(n)
+	return n, err
+}
+
+// TestEnsembleRecordConsumptionMatchesRun pins the stream position a
+// MaxBranches stop leaves behind: an ensemble must consume exactly the
+// records a single run does (Checkpoint.Records), never a chunk past the
+// last branch it simulates. The budget stops mid-chunk, and the rosters
+// cover a batch member next to a scalar member and the EV8's staged
+// banks, at immediate and delayed update.
+func TestEnsembleRecordConsumptionMatchesRun(t *testing.T) {
+	prof := benchProfiles(t, "gcc")[0]
+	records := trace.Collect(workload.MustNew(prof, 0), 20_000)
+	rosters := []struct {
+		name      string
+		mode      frontend.Mode
+		factories []Factory
+	}{
+		{"ghist-mixed", frontend.ModeGhist(), []Factory{
+			func() (predictor.Predictor, error) { return core.New(core.Config512K()) },
+			func() (predictor.Predictor, error) { return bimodal.New(1 << 12) },
+		}},
+		{"ev8", frontend.ModeEV8(), []Factory{
+			func() (predictor.Predictor, error) { return ev8.New(ev8.DefaultConfig()) },
+		}},
+	}
+	for _, r := range rosters {
+		for _, delay := range []int{0, 8} {
+			opts := Options{Mode: r.mode, MaxBranches: 7_777, UpdateDelay: delay}
+			p, err := r.factories[0]()
+			if err != nil {
+				t.Fatal(err)
+			}
+			single := &countingSource{Slice: trace.NewSlice(records)}
+			res, ck, err := RunCheckpoint(p, single, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Branches != opts.MaxBranches || single.n != ck.Records {
+				t.Fatalf("%s/delay%d: single run measured %d branches, consumed %d records, checkpoint says %d",
+					r.name, delay, res.Branches, single.n, ck.Records)
+			}
+			ens := &countingSource{Slice: trace.NewSlice(records)}
+			rs, err := RunEnsemble(r.factories, ens, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ens.n != ck.Records {
+				t.Errorf("%s/delay%d: ensemble consumed %d records, single run %d", r.name, delay, ens.n, ck.Records)
+			}
+			if rs[0] != res {
+				t.Errorf("%s/delay%d: ensemble member %+v != single run %+v", r.name, delay, rs[0], res)
+			}
+		}
 	}
 }

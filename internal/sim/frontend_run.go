@@ -55,8 +55,12 @@ type FrontEndResult struct {
 // RunFrontEnd simulates the whole §2 PC-address generator: the
 // conditional predictor p (nil = oracle, for upper-bound studies), the
 // jump predictor, the return-address stack, and the line predictor, over
-// a single-threaded source. Like Run, it returns an error when the source
-// fails mid-stream rather than reporting a short-but-successful result.
+// a single-threaded source. It honours opts.Mode, MaxBranches and
+// LenientFlow, and refuses the options it has no path for (Warmup,
+// UpdateDelay, Collect, BatchOn) and a record from a second thread with
+// an error instead of ignoring them. Like Run, it returns an error when
+// the source fails mid-stream rather than reporting a short-but-successful
+// result, and checks the Result with Validate.
 func RunFrontEnd(p predictor.Predictor, src trace.Source, opts Options, fecfg FrontEndConfig) (FrontEndResult, error) {
 	fecfg = fecfg.withDefaults()
 	var res FrontEndResult
@@ -66,7 +70,18 @@ func RunFrontEnd(p predictor.Predictor, src trace.Source, opts Options, fecfg Fr
 	} else {
 		res.Predictor = "oracle"
 	}
+	switch {
+	case opts.Warmup != 0:
+		return res, fmt.Errorf("sim: RunFrontEnd does not support Options.Warmup (%d)", opts.Warmup)
+	case opts.UpdateDelay != 0:
+		return res, fmt.Errorf("sim: RunFrontEnd does not support Options.UpdateDelay (%d)", opts.UpdateDelay)
+	case opts.Collect:
+		return res, fmt.Errorf("sim: RunFrontEnd does not support Options.Collect")
+	case opts.Batch == BatchOn:
+		return res, fmt.Errorf("%w: RunFrontEnd has no batch path", ErrBatchIneligible)
+	}
 	tr := frontend.NewTracker(opts.Mode)
+	tr.SetLenient(opts.LenientFlow)
 	pg := frontend.MustNewPCGen(fecfg.JumpEntries, fecfg.RASDepth)
 	lp := frontend.MustNewLinePredictor(fecfg.LineEntries)
 	if obs, ok := p.(BlockObserver); ok {
@@ -81,13 +96,22 @@ func RunFrontEnd(p predictor.Predictor, src trace.Source, opts Options, fecfg Fr
 	// info is hoisted out of the loop so its address, passed through
 	// interface calls, does not escape once per branch (as in Run).
 	var info history.Info
-	for {
+	var records int64
+	thread := 0
+	for ; ; records++ {
 		if opts.MaxBranches > 0 && res.Branches >= opts.MaxBranches {
 			break
 		}
 		b, ok := src.Next()
 		if !ok {
 			break
+		}
+		if records == 0 {
+			thread = b.Thread
+			tr.SetThread(thread)
+		} else if b.Thread != thread {
+			return res, fmt.Errorf("sim: RunFrontEnd is single-threaded: record %d is on thread %d, the stream began on thread %d",
+				records, b.Thread, thread)
 		}
 		isCond := tr.ProcessInto(&b, &info)
 		res.Instructions += int64(b.Gap) + 1
@@ -117,7 +141,7 @@ func RunFrontEnd(p predictor.Predictor, src trace.Source, opts Options, fecfg Fr
 	if err := trace.SourceErr(src); err != nil {
 		return res, fmt.Errorf("sim: source failed after %d branches: %w", res.Branches, err)
 	}
-	return res, nil
+	return res, res.Validate()
 }
 
 // RunFrontEndBenchmark is RunFrontEnd over a named synthetic benchmark.

@@ -1,11 +1,14 @@
 package sim
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"ev8pred/internal/ev8"
 	"ev8pred/internal/frontend"
 	"ev8pred/internal/predictor/bimodal"
+	"ev8pred/internal/trace"
 	"ev8pred/internal/workload"
 )
 
@@ -83,5 +86,54 @@ func TestRunFrontEndWiresEV8BlockObserver(t *testing.T) {
 	}
 	if p.BankConflicts() != 0 {
 		t.Errorf("%d bank conflicts", p.BankConflicts())
+	}
+}
+
+// TestRunFrontEndOptions pins which Options RunFrontEnd honours and which
+// it refuses by name, and that a second thread is an error rather than a
+// panic inside the tracker.
+func TestRunFrontEndOptions(t *testing.T) {
+	steps := make([]recStep, 200)
+	for i := range steps {
+		steps[i] = recStep{gap: 3, kind: trace.Cond, taken: i%3 == 0}
+	}
+	recs := mkRecords(steps)
+	// Two copies back to back: the second restarts at the first's PC, a
+	// flow discontinuity only LenientFlow absorbs.
+	discontinuous := append(append([]trace.Branch{}, recs...), recs...)
+	secondThread := append([]trace.Branch{}, recs...)
+	secondThread[len(secondThread)-1].Thread = 1
+	for _, tc := range []struct {
+		name    string
+		recs    []trace.Branch
+		opts    Options
+		want    string // substring of the error; "" = success
+		wantErr error
+	}{
+		{name: "plain", recs: recs},
+		{name: "lenient", recs: discontinuous, opts: Options{LenientFlow: true}},
+		{name: "warmup", recs: recs, opts: Options{Warmup: 10}, want: "Options.Warmup"},
+		{name: "update delay", recs: recs, opts: Options{UpdateDelay: 4}, want: "Options.UpdateDelay"},
+		{name: "collect", recs: recs, opts: Options{Collect: true}, want: "Options.Collect"},
+		{name: "batch on", recs: recs, opts: Options{Batch: BatchOn}, wantErr: ErrBatchIneligible},
+		{name: "second thread", recs: secondThread, want: "single-threaded"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := RunFrontEnd(bimodal.MustNew(1024), trace.NewSlice(tc.recs), tc.opts, FrontEndConfig{})
+			switch {
+			case tc.wantErr != nil:
+				if !errors.Is(err, tc.wantErr) {
+					t.Errorf("err = %v, want %v", err, tc.wantErr)
+				}
+			case tc.want != "":
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("err = %v, want one naming %q", err, tc.want)
+				}
+			case err != nil:
+				t.Errorf("unexpected error: %v", err)
+			case r.Branches != int64(len(tc.recs)):
+				t.Errorf("simulated %d branches, want %d", r.Branches, len(tc.recs))
+			}
+		})
 	}
 }

@@ -3,6 +3,13 @@
 // branch's information vector to a predictor, and accumulates the paper's
 // metric (mispredictions per 1000 instructions, "misp/KI").
 //
+// One stream engine (ensemble.go) runs every simulation: Run,
+// RunCheckpoint and ResumeFrom are ensembles of one member. The engine
+// walks the source in chunks — the front end stages each chunk's
+// information vectors, outcomes and §6.2 bank numbers once — and each
+// member then consumes the chunk through the batch kernel (batch.go) or
+// branch by branch.
+//
 // Update timing follows the paper's methodology (§8.1.1): immediate update
 // by default, with an optional commit-delay mode used to reproduce the
 // authors' validation that the two are equivalent for these predictors.
@@ -13,7 +20,6 @@ import (
 	"fmt"
 
 	"ev8pred/internal/frontend"
-	"ev8pred/internal/history"
 	"ev8pred/internal/predictor"
 	"ev8pred/internal/stats"
 	"ev8pred/internal/trace"
@@ -59,17 +65,17 @@ type Options struct {
 	// docs/PERFORMANCE.md, "Ensemble execution"); like Workers, it has no
 	// effect on a single Run.
 	Ensemble EnsembleMode
-	// Batch selects whether eligible runs use the data-oriented batch
-	// kernel: BatchAuto (the zero value) engages it when the predictor
-	// implements predictor.BatchPredictor, the source implements
-	// trace.BatchSource, UpdateDelay is 0 and any fetch-block-observing
-	// predictor also implements the batched block contract
-	// (predictor.BlockBatchObserver — the EV8 does); BatchOff forces
-	// the scalar fused path; BatchOn makes an ineligible run fail with
-	// ErrBatchIneligible instead of silently running scalar. Results
-	// are byte-identical in every mode (the batch differential suite
-	// pins that), so like Workers and Ensemble this is a schedule knob,
-	// excluded from cache keys.
+	// Batch selects whether eligible members use the data-oriented batch
+	// kernel: BatchAuto (the zero value) engages it for a predictor that
+	// implements predictor.BatchPredictor when UpdateDelay is 0 and, if
+	// it observes fetch blocks, it also implements the batched block
+	// contract (predictor.BlockBatchObserver — the EV8 does); BatchOff
+	// consumes every member branch by branch; BatchOn makes an
+	// ineligible run fail with ErrBatchIneligible instead of silently
+	// falling back (see batch.go for what a single run and an ensemble
+	// each require). Results are byte-identical in every mode (the batch
+	// differential suite pins that), so like Workers and Ensemble this
+	// is a schedule knob, excluded from cache keys.
 	Batch BatchMode
 	// Collect enables component attribution: when set and the predictor
 	// implements stats.Instrumented, Run turns its counters on before
@@ -138,16 +144,6 @@ func (r Result) Validate() error {
 	return nil
 }
 
-// pendingUpdate is a deferred training event for the commit-delay mode.
-// For fused predictors it carries the prediction-time snapshot instead of
-// the information vector: the index set computed at fetch survives the
-// queue, as on the hardware, and is never re-derived.
-type pendingUpdate struct {
-	info  history.Info
-	snap  predictor.Snapshot
-	taken bool
-}
-
 // BlockObserver is implemented by predictors that need to see every
 // completed fetch block, not just the branches — on the EV8 the
 // bank-number sequencing advances on every block (§6.2). Run wires the
@@ -165,16 +161,15 @@ const maxDenseThread = 4096
 
 // trackerTable maps thread ids to per-thread front-end trackers. The hot
 // path is a dense slice lookup (thread ids are small ints from the SMT
-// interleaver — satellite of the ensemble PR replacing the old per-branch
-// map lookup); ids beyond maxDenseThread spill to a lazily built map so a
-// hostile trace cannot force an enormous dense table.
+// interleaver); ids beyond maxDenseThread spill to a lazily built map so
+// a hostile trace cannot force an enormous dense table.
 type trackerTable struct {
 	dense  []*frontend.Tracker
 	sparse map[int]*frontend.Tracker
 }
 
 // lookup returns the tracker for id, or nil if none exists yet. The
-// dense fast path is small enough to inline into the simulation loops.
+// dense fast path is small enough to inline into the engine walk.
 func (t *trackerTable) lookup(id int) *frontend.Tracker {
 	if uint(id) < uint(len(t.dense)) {
 		return t.dense[id]
@@ -222,10 +217,11 @@ func (t *trackerTable) create(id int, opts Options, onBlock func(frontend.Block)
 // demand, so SMT-interleaved sources work transparently (each thread gets
 // its own history registers and path queue, as on the real machine).
 //
-// When p implements predictor.FusedPredictor the hot loop computes each
-// branch's index set exactly once (Lookup) and trains from the carried
-// snapshot (UpdateWith), including through the commit-delay queue; plain
-// predictors use the Predict/Update pair as before.
+// When p implements predictor.FusedPredictor each branch's index set is
+// computed exactly once (Lookup) and trained from the carried snapshot
+// (UpdateWith), including through the commit-delay queue; plain
+// predictors use the Predict/Update pair. Eligible runs take the batch
+// kernel (see Options.Batch).
 //
 // Run returns an error when the source fails mid-stream (it implements
 // trace.ErrSource and reports a decode error — a truncated or corrupted
@@ -233,37 +229,16 @@ func (t *trackerTable) create(id int, opts Options, onBlock func(frontend.Block)
 // accumulated Result fails its sanity check. The Result reflects the
 // branches processed before the failure.
 func Run(p predictor.Predictor, src trace.Source, opts Options) (Result, error) {
-	res, _, err := run(p, src, opts, nil, false)
+	res, _, err := runOne(p, src, opts, nil, false)
 	return res, err
 }
 
-// run is the engine behind Run, RunCheckpoint and ResumeFrom: one loop,
-// optionally seeded from a checkpoint (resume != nil) and optionally
-// capturing one at the stop point (doCapture). The per-branch path is
-// identical in all modes — resume seeding and capture both happen outside
-// the loop, preserving the zero-allocation discipline.
-func run(p predictor.Predictor, src trace.Source, opts Options, resume *Checkpoint, doCapture bool) (Result, *Checkpoint, error) {
+// runOne is Run, RunCheckpoint and ResumeFrom: the engine over one
+// member, optionally seeded from a checkpoint (resume != nil) and
+// optionally capturing one at the stop point (doCapture).
+func runOne(p predictor.Predictor, src trace.Source, opts Options, resume *Checkpoint, doCapture bool) (Result, *Checkpoint, error) {
 	res := Result{Predictor: p.Name(), SizeBits: p.SizeBits()}
-	var trackers trackerTable
-	var onBlock func(frontend.Block)
-	if obs, ok := p.(BlockObserver); ok {
-		onBlock = obs.ObserveBlock
-	}
-	fp, fused := p.(predictor.FusedPredictor)
-
-	var records int64
-	if resume != nil {
-		if err := resume.validateResume(p, opts); err != nil {
-			return res, nil, err
-		}
-		if err := resume.restoreInto(p, opts, &trackers, onBlock); err != nil {
-			return res, nil, err
-		}
-		records = resume.Records
-		res.Branches = resume.RawBranches
-		res.Mispredicts = resume.Mispredicts
-		res.Instructions = resume.Instructions
-	} else if doCapture {
+	if doCapture {
 		// Fail before simulating anything: a checkpointing run against a
 		// predictor that cannot snapshot would only discover it at the
 		// stop point.
@@ -271,175 +246,22 @@ func run(p predictor.Predictor, src trace.Source, opts Options, resume *Checkpoi
 			return res, nil, fmt.Errorf("%w (%s)", ErrNotSnapshottable, p.Name())
 		}
 	}
-
-	// Attribution is enabled once, before the stream; the hot loop below
-	// is identical with or without it (the predictor gates its own
-	// counting). The snapshot happens after the commit-delay queue
-	// drains so delayed updates are attributed too. On resume this runs
-	// AFTER the state restore: enabling an already-collecting predictor
-	// is a no-op, so a checkpointed collection window survives.
-	var inst stats.Instrumented
-	if opts.Collect {
-		inst, _ = p.(stats.Instrumented)
-		if inst != nil {
-			inst.EnableStats(true)
+	if opts.Batch == BatchOn {
+		// A single run demands the kernel end to end: its one member and
+		// a batching source.
+		if reason := batchReason(p, opts); reason != "" {
+			return res, nil, fmt.Errorf("%w: %s", ErrBatchIneligible, reason)
+		}
+		if _, ok := src.(trace.BatchSource); !ok {
+			return res, nil, fmt.Errorf("%w: source does not implement trace.BatchSource", ErrBatchIneligible)
 		}
 	}
-
-	// The commit-delay queue is a fixed ring of UpdateDelay slots,
-	// allocated once per run: the old slice queue popped via queue[1:],
-	// retaining the dead head of the backing array for the life of the
-	// run and growing the backing array as appends wrapped.
-	var ring []pendingUpdate
-	var head, count int
-	if opts.UpdateDelay > 0 {
-		ring = make([]pendingUpdate, opts.UpdateDelay)
-	}
-	if resume != nil {
-		for i := range resume.Pending {
-			pu := &resume.Pending[i]
-			ring[i] = pendingUpdate{info: pu.Info, snap: pu.Snap, taken: pu.Taken}
-		}
-		count = len(resume.Pending)
-	}
-	apply := func(u *pendingUpdate) {
-		if fused {
-			fp.UpdateWith(u.snap, u.taken)
-		} else {
-			p.Update(&u.info, u.taken)
-		}
-	}
-
-	// The batch kernel takes over the whole stream when the run is
-	// eligible (see internal/sim/batch.go for the eligibility argument);
-	// the result is byte-identical to the scalar loop below. Under
-	// BatchOn an ineligible run is a typed error, never a silent scalar
-	// fallback.
-	if bp, bs, reason := planBatch(p, src, opts, onBlock != nil); bp != nil {
-		if err := runBatchStream(bp, bs, opts, &res, &records, &trackers, onBlock); err != nil {
-			return res, nil, err
-		}
-		return finishRun(p, src, opts, res, records, &trackers, ring, head, count, inst, doCapture, apply)
-	} else if opts.Batch == BatchOn {
-		return res, nil, fmt.Errorf("%w: %s", ErrBatchIneligible, reason)
-	}
-
-	// info is hoisted out of the loop: its address is passed through
-	// interface calls, so a loop-local would escape and cost one heap
-	// allocation per branch. Hoisted, the whole run allocates it once.
-	var info history.Info
-	var isCond bool
-	for {
-		if opts.MaxBranches > 0 && res.Branches >= opts.MaxBranches {
-			break
-		}
-		b, ok := src.Next()
-		if !ok {
-			break
-		}
-		records++
-		tr := trackers.lookup(b.Thread)
-		if tr == nil {
-			var err error
-			tr, err = trackers.create(b.Thread, opts, onBlock)
-			if err != nil {
-				return res, nil, err
-			}
-		}
-		isCond = tr.ProcessInto(&b, &info)
-		// One gate decides the whole record: it is measured iff the
-		// warmup boundary (retirement of conditional branch #Warmup)
-		// lies before it. For a conditional record this is the same
-		// condition as "this is branch #Warmup+1 or later".
-		measured := res.Branches >= opts.Warmup
-		if measured {
-			res.Instructions += int64(b.Gap) + 1
-		}
-		if !isCond {
-			continue
-		}
-		var pred bool
-		var snap predictor.Snapshot
-		if fused {
-			snap = fp.Lookup(&info)
-			pred = snap.Final
-		} else {
-			pred = p.Predict(&info)
-		}
-		if measured && pred != b.Taken {
-			res.Mispredicts++
-		}
-		res.Branches++
-		switch {
-		case opts.UpdateDelay > 0:
-			// FIFO through the ring: when full, the oldest pending
-			// update retires into the predictor and its slot is reused.
-			if count == len(ring) {
-				apply(&ring[head])
-				ring[head] = pendingUpdate{info: info, snap: snap, taken: b.Taken}
-				head++
-				if head == len(ring) {
-					head = 0
-				}
-			} else {
-				i := head + count
-				if i >= len(ring) {
-					i -= len(ring)
-				}
-				ring[i] = pendingUpdate{info: info, snap: snap, taken: b.Taken}
-				count++
-			}
-		case fused:
-			fp.UpdateWith(snap, b.Taken)
-		default:
-			p.Update(&info, b.Taken)
-		}
-	}
-	return finishRun(p, src, opts, res, records, &trackers, ring, head, count, inst, doCapture, apply)
-}
-
-// finishRun is the common epilogue of the scalar and batch stream loops:
-// checkpoint capture, commit-delay ring drain, warmup clamp, attribution
-// snapshot, deferred source-error check, and the result sanity check.
-func finishRun(p predictor.Predictor, src trace.Source, opts Options, res Result, records int64, trackers *trackerTable, ring []pendingUpdate, head, count int, inst stats.Instrumented, doCapture bool, apply func(*pendingUpdate)) (Result, *Checkpoint, error) {
-	// Capture the checkpoint BEFORE the ring drains and before the warmup
-	// clamp: the pending updates belong to the continuation (a resumed run
-	// retires them through its own stream), and the resumed warmup gate
-	// needs the raw branch count. A source failure voids the capture below.
-	var ck *Checkpoint
-	if doCapture {
-		var err error
-		ck, err = capture(p, opts, trackers, ring, head, count, records, res)
-		if err != nil {
-			return res, nil, err
-		}
-	}
-	for count > 0 {
-		apply(&ring[head])
-		head++
-		if head == len(ring) {
-			head = 0
-		}
-		count--
-	}
-	// Report only measured branches. The clamp matters when the stream
-	// ends at or before the warmup boundary (res.Branches <= Warmup):
-	// zero branches were measured, and the old `> Warmup` guard left the
-	// raw count in place, over-reporting by up to Warmup at the boundary.
-	if opts.Warmup > 0 {
-		res.Branches -= min(res.Branches, opts.Warmup)
-	}
-	if inst != nil {
-		cs := inst.Stats()
-		res.Stats = &cs
-	}
-	if err := trace.SourceErr(src); err != nil {
-		return res, nil, fmt.Errorf("sim: source failed after %d branches: %w", res.Branches, err)
-	}
-	if err := res.Validate(); err != nil {
+	e, err := newEngine([]predictor.Predictor{p}, opts, resume)
+	if err != nil {
 		return res, nil, err
 	}
-	return res, ck, nil
+	rs, ck, err := e.stream(src, doCapture)
+	return rs[0], ck, err
 }
 
 // RunBenchmark builds the named synthetic benchmark with instrBudget

@@ -16,6 +16,27 @@ import (
 	"ev8pred/internal/predictor/perceptron"
 )
 
+// maxLog2Size bounds the size families' swept value, log2 of the table
+// entries: 2^24 is 16× the largest size in ev8sweep's usage text, while an
+// unbounded value would ask for a table whose allocation fails fatally
+// (Go's out-of-memory error is not recoverable).
+const maxLog2Size = 24
+
+// CheckValues applies the roster's bounds to the swept values of (scheme,
+// param) without building anything, so a spec or flag set is refused
+// before any cell runs. The family constructors enforce the same bound.
+func CheckValues(scheme, param string, values []int) error {
+	if param != "size" {
+		return nil
+	}
+	for _, v := range values {
+		if v < 1 || v > maxLog2Size {
+			return fmt.Errorf("sweep: %s/size value %d outside [1, %d] (log2 entries)", scheme, v, maxLog2Size)
+		}
+	}
+	return nil
+}
+
 // FamilyFactory maps (scheme, param) to a family constructor — how the
 // swept integer becomes a predictor configuration. Unknown combinations
 // return an error naming the supported roster.
@@ -27,6 +48,9 @@ func FamilyFactory(scheme, param string) (Factory, error) {
 		}, nil
 	case "gshare/size":
 		return func(log2 int) (predictor.Predictor, error) {
+			if err := CheckValues(scheme, param, []int{log2}); err != nil {
+				return nil, err
+			}
 			return gshare.New(1<<uint(log2), min(log2+4, 32))
 		}, nil
 	case "2bcg/history":
@@ -42,6 +66,9 @@ func FamilyFactory(scheme, param string) (Factory, error) {
 		}, nil
 	case "2bcg/size":
 		return func(log2 int) (predictor.Predictor, error) {
+			if err := CheckValues(scheme, param, []int{log2}); err != nil {
+				return nil, err
+			}
 			c := core.Config512K()
 			for b := core.BIM; b < core.NumBanks; b++ {
 				c.Banks[b].Entries = 1 << uint(log2)

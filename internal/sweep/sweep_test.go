@@ -128,3 +128,32 @@ func TestEmptyTable(t *testing.T) {
 		t.Error("empty sweep should render an empty table")
 	}
 }
+
+// TestSizeFamiliesBounded pins the size families' bound: a log2 size
+// outside [1, 24] is an error from both CheckValues and the constructor,
+// before any table is allocated; values inside it build.
+func TestSizeFamiliesBounded(t *testing.T) {
+	for _, scheme := range []string{"gshare", "2bcg"} {
+		f, err := FamilyFactory(scheme, "size")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range []int{0, -3, 25, 40} {
+			if err := CheckValues(scheme, "size", []int{12, v}); err == nil {
+				t.Errorf("%s: CheckValues accepted size %d", scheme, v)
+			}
+			if _, err := f(v); err == nil {
+				t.Errorf("%s: constructor accepted size %d", scheme, v)
+			}
+		}
+		if err := CheckValues(scheme, "size", []int{1, 12, 24}); err != nil {
+			t.Errorf("%s: in-range sizes refused: %v", scheme, err)
+		}
+		if _, err := f(12); err != nil {
+			t.Errorf("%s: size 12: %v", scheme, err)
+		}
+	}
+	if err := CheckValues("gshare", "history", []int{40}); err != nil {
+		t.Errorf("history values are not size-bounded: %v", err)
+	}
+}
