@@ -4,7 +4,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: all build vet staticcheck test race bench bench-baseline bench-ensemble bench-kernel check golden perfbench-check report fuzz faultinject resume shard-gate serve-gate examples clean
+.PHONY: all build vet staticcheck test race bench check golden perf-gate perfbench-check report fuzz faultinject resume shard-gate serve-gate examples clean
 
 all: build vet test
 
@@ -19,10 +19,11 @@ all: build vet test
 # single-process, see shard-gate), the batch-kernel differential suite
 # (runs routed through LookupBatch/UpdateBatch — including the EV8 model
 # via the batched block contract — must be byte-identical to the scalar
-# fused path, with an EV8 block-boundary fuzz smoke), a snapshot-decode
-# fuzz smoke, benchmark smokes so neither the testing.B harness nor the
-# per-predictor microbenchmarks can rot, and the benchmark module's own
-# vet and tests (perfbench-check).
+# fused path, with an EV8 block-boundary fuzz smoke), the performance
+# ratio gate (see perf-gate), a snapshot-decode fuzz smoke, benchmark
+# smokes so neither the testing.B harness nor the per-predictor
+# microbenchmarks can rot, and the benchmark module's own vet and tests
+# (perfbench-check).
 check:
 	$(GO) vet ./...
 	$(MAKE) staticcheck
@@ -30,6 +31,7 @@ check:
 	$(GO) test -race ./...
 	$(GO) test -run 'TestHotPathZeroAllocs|TestDelayedUpdateZeroAllocsSteadyState|TestEnsembleZeroAllocsSteadyState|TestBatchZeroAllocsSteadyState|TestBatchKernelZeroAllocs|TestEV8BatchZeroAllocsSteadyState|TestGeneratorNextBatchZeroAllocs' -count=1 .
 	$(GO) test -run 'TestGolden' -count=1 .
+	$(MAKE) perf-gate
 	$(GO) test -run 'TestEnsemble' -count=1 . ./internal/sim/
 	$(GO) test -run 'TestBatch|TestEV8Batch|TestEV8Ensemble|TestStagedIndex|TestLookupBatch' -count=1 . ./internal/core/ ./internal/ev8/ ./internal/predictor/... ./internal/trace/
 	$(GO) test -fuzz FuzzEV8BatchBlockBoundaries -fuzztime 30s -run '^$$' .
@@ -50,6 +52,15 @@ check:
 # of results, and review and record the diff.
 golden:
 	$(GO) test -run 'TestGoldenCorpus' -count=1 . -golden.update
+
+# In-process performance ratio gates (perfgate_test.go): the batch kernel
+# against the scalar fused path for every batch predictor, and the
+# single-pass ensemble against per-cell scheduling on an 8-configuration
+# gshare sweep. Both sides are timed alternately in one process, so the
+# gates compare ratios, never machine-dependent nanoseconds. The tests
+# skip under -race and -short.
+perf-gate:
+	$(GO) test -run 'TestPerfRatio' -count=1 -v .
 
 # The repository benchmark (perfbench/) is its own Go module, so the root
 # `go build ./...` never compiles it. Vet it and run its short tests, so a
@@ -90,37 +101,20 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Refresh the machine-readable hot-path throughput snapshot (per-predictor
-# branches/sec and allocs/branch, plus the end-to-end Table 1 EV8 loop);
-# see docs/PERFORMANCE.md for how the numbers are defined and compared.
-bench-baseline:
-	$(GO) run ./cmd/benchbaseline -o BENCH_baseline.json
-
-# Refresh the ensemble-engine snapshot: suite-level ns/branch for a
-# multi-configuration sweep under the per-cell and single-pass ensemble
-# schedules at equal worker counts, plus the resulting speedup (see
-# docs/PERFORMANCE.md, "Ensemble execution").
-bench-ensemble:
-	$(GO) run ./cmd/benchensemble -o BENCH_ensemble.json
-
-# Refresh the batch-kernel snapshot: scalar vs batch ns/branch for every
-# BatchPredictor roster entry, with speedups against the committed
-# BENCH_baseline.json reference (see docs/PERFORMANCE.md, "Batch kernel").
-bench-kernel:
-	$(GO) run ./cmd/benchkernel -o BENCH_kernel.json
-
 # Regenerate every table and figure of the paper (10M instructions per
 # benchmark; the paper's full scale is -instructions 100000000).
 report:
 	$(GO) run ./cmd/ev8bench -experiment all -o bench_report.txt
 
 # Short fuzz sessions over the trace codec, the fault-injection mutant
-# space, and the snapshot/checkpoint wire format.
+# space, the snapshot/checkpoint wire format, and the ev8serve spec
+# decode-and-compile admission path.
 fuzz:
 	$(GO) test -fuzz FuzzReader -fuzztime 30s ./internal/trace/
 	$(GO) test -fuzz FuzzRoundTrip -fuzztime 30s ./internal/trace/
 	$(GO) test -fuzz FuzzMutatedTrace -fuzztime 30s ./internal/trace/faultinject/
 	$(GO) test -fuzz FuzzSnapshotDecode -fuzztime 30s -run '^$$' .
+	$(GO) test -fuzz FuzzSpecDecode -fuzztime 30s -run '^$$' ./internal/serve/
 
 # Resume-equivalence and cache-correctness differentials: every
 # Snapshotter family checkpointed, serialized, resumed and compared

@@ -49,6 +49,24 @@ import (
 	"ev8pred/internal/serve"
 )
 
+// Connection timeouts of the HTTP server. Neither is a flag: they bound
+// misbehaving clients, not anything a tenant's workload needs to tune.
+const (
+	// readHeaderTimeout bounds how long a client may take to send a
+	// request's headers, so one that stalls mid-header cannot hold a
+	// connection forever.
+	readHeaderTimeout = 10 * time.Second
+	// idleTimeout closes keep-alive connections idle between requests.
+	idleTimeout = 120 * time.Second
+)
+
+// newHTTPServer builds the daemon's HTTP server around h. ReadTimeout and
+// WriteTimeout stay zero: a job's NDJSON stream lasts as long as the job,
+// and a read deadline would cancel the request context mid-stream.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -125,7 +143,7 @@ func run(args []string, out, errw io.Writer, sig <-chan os.Signal, ready func(ne
 	if err != nil {
 		return fmt.Errorf("listen: %w", err)
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
 	fmt.Fprintf(out, "ev8serve: serving on http://%s (jobs: %d running / %d queued; workers/job: %d)\n",

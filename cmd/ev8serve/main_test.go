@@ -347,3 +347,20 @@ func TestServeE2E(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 }
+
+// TestHTTPServerTimeouts pins the connection bounds: a client that sends
+// half a request header is cut off, idle keep-alive connections close,
+// and no read or write deadline can cut a long job's NDJSON stream.
+func TestHTTPServerTimeouts(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v (positive)", hs.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if hs.IdleTimeout != idleTimeout || idleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want %v (positive)", hs.IdleTimeout, idleTimeout)
+	}
+	if hs.ReadTimeout != 0 || hs.WriteTimeout != 0 {
+		t.Errorf("ReadTimeout = %v, WriteTimeout = %v; both must be 0 so job streams are not cut",
+			hs.ReadTimeout, hs.WriteTimeout)
+	}
+}

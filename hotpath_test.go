@@ -3,8 +3,7 @@ package ev8pred_test
 // Hot-path performance gates: per-predictor predict+update microbenchmarks
 // over prerecorded events (the workload generator and front end are out of
 // the measured loop), and a hard zero-allocation gate for the paper's hot
-// predictors. cmd/benchbaseline runs the same roster programmatically to
-// write BENCH_baseline.json.
+// predictors. perfgate_test.go times the same roster scalar vs batch.
 
 import (
 	"testing"
@@ -199,7 +198,7 @@ func BenchmarkGeneratorNextBatch(b *testing.B) {
 // BenchmarkPredictUpdate measures raw per-branch predictor cost: one
 // sub-benchmark per roster entry, replaying prerecorded gcc events through
 // the same code path sim.Run uses (fused when available). ns/op is per
-// branch; compare against BENCH_baseline.json.
+// branch; docs/PERFORMANCE.md, "History", quotes earlier numbers.
 func BenchmarkPredictUpdate(b *testing.B) {
 	for _, c := range hotbench.Cases() {
 		events, err := hotbench.Collect(c.Mode, "gcc", hotEvents)
@@ -227,7 +226,7 @@ func BenchmarkPredictUpdate(b *testing.B) {
 // BenchmarkPredictUpdateBatch is the batch-kernel twin: the same events
 // pre-staged into SoA chunks, replayed through LookupBatch/UpdateBatch.
 // ns/op is per branch; the ratio to BenchmarkPredictUpdate's matching
-// entry is the kernel speedup cmd/benchkernel reports.
+// entry is the kernel speedup TestPerfRatioBatchKernel gates.
 func BenchmarkPredictUpdateBatch(b *testing.B) {
 	for _, c := range hotbench.Cases() {
 		if !c.Batch {

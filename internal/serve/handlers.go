@@ -7,6 +7,7 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -138,6 +139,16 @@ type jobOutcome struct {
 	err    error
 }
 
+// decodeSpec reads one Spec from a submission body, refusing unknown
+// fields so a misspelled option fails instead of silently defaulting.
+func decodeSpec(body io.Reader) (Spec, error) {
+	var sp Spec
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&sp)
+	return sp, err
+}
+
 // handleSubmit admits a Spec and streams the job's life as NDJSON. The
 // response is request-scoped: closing the connection cancels the job
 // mid-cell (r.Context propagates through the pool into the trace source).
@@ -146,10 +157,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if tenant == "" {
 		tenant = "default"
 	}
-	var sp Spec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sp); err != nil {
+	sp, err := decodeSpec(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
 		writeError(w, http.StatusBadRequest, &APIError{Code: "bad_spec", Message: "decoding spec: " + err.Error()})
 		return
 	}

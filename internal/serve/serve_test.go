@@ -105,6 +105,37 @@ func TestReorder(t *testing.T) {
 	}
 }
 
+// TestDrainRunsJobWithFreeSlot pins the drain contract for a job admitted
+// before the drain whose goroutine asks for its run slot only after the
+// drain began (a slow schedule): with a slot free, the job runs rather
+// than being rejected as queued. Each round would fail with probability
+// one half if the slot and the drain signal raced in one select.
+func TestDrainRunsJobWithFreeSlot(t *testing.T) {
+	sp := Spec{Scheme: "gshare", Param: "history", Values: []int{4},
+		Benchmarks: []string{"li"}, Instructions: 1000}
+	cs, err := sp.compile(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 32; i++ {
+		s := New(Config{MaxJobs: 1, MetricsPrefix: "serve_drain_slot_test"})
+		job, err := s.admit("alice", cs.cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Start the drain without waiting for it: the job is still admitted.
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if err := s.Drain(ctx); err == nil {
+			t.Fatal("drain settled with a job still admitted")
+		}
+		if _, _, err := s.runJob(context.Background(), job, cs, func(sim.CellDone) {}); err != nil {
+			t.Fatalf("round %d: job with a free run slot failed at drain: %v", i, err)
+		}
+		s.release(job)
+	}
+}
+
 func TestAdmissionPolicy(t *testing.T) {
 	s := New(Config{MaxJobs: 1, QueueDepth: 1, TenantQuota: 1, MetricsPrefix: "serve_admit_test"})
 

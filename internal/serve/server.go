@@ -334,15 +334,22 @@ type PointSummary struct {
 // through events. It owns the queued→running transition; the caller owns
 // the terminal one.
 func (s *Server) runJob(ctx context.Context, job *Job, cs *compiledSpec, events func(sim.CellDone)) ([]report.Run, []PointSummary, error) {
+	// A free slot wins over a drain that began after admission: select
+	// picks among ready cases at random, so without the first attempt a
+	// job whose goroutine ran late could be rejected with a slot idle.
 	var slot int
 	select {
 	case slot = <-s.slots:
-	case <-s.drainCh:
-		s.mRejDraining.Add(1)
-		return nil, nil, &AdmitError{Code: "rejected_draining", Status: 503,
-			Message: "server drained before the job reached a run slot"}
-	case <-ctx.Done():
-		return nil, nil, fmt.Errorf("%w: tenant went away while queued", sim.ErrCanceled)
+	default:
+		select {
+		case slot = <-s.slots:
+		case <-s.drainCh:
+			s.mRejDraining.Add(1)
+			return nil, nil, &AdmitError{Code: "rejected_draining", Status: 503,
+				Message: "server drained before the job reached a run slot"}
+		case <-ctx.Done():
+			return nil, nil, fmt.Errorf("%w: tenant went away while queued", sim.ErrCanceled)
+		}
 	}
 	defer func() { s.slots <- slot }()
 	job.setState(JobRunning)
